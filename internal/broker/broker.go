@@ -805,7 +805,14 @@ func (b *Broker) handle(conn net.Conn) {
 		resume := hs.role == RoleResume
 		s, firstSeq, err := b.addSubscriber(conn, hs.channel, pl, resume, hs.lastSeq)
 		if err != nil {
-			_ = writeReply(conn, err)
+			if errors.Is(err, errEvictedInHandshake) {
+				// Its queue overflowed before it was attached: the same
+				// overload admission control refuses, so the client backs
+				// off the same way.
+				_ = writeRetryReply(conn, "overloaded: evicted during handshake", b.cfg.RetryAfter)
+			} else {
+				_ = writeReply(conn, err)
+			}
 			conn.Close()
 			return
 		}
@@ -816,6 +823,15 @@ func (b *Broker) handle(conn net.Conn) {
 		}
 		if err != nil {
 			b.removeSub(s, false, "handshake reply failed")
+			conn.Close()
+			return
+		}
+		if goodbye, evicted := s.attach(); evicted {
+			// Evicted while the reply was on its way: teardown left the
+			// goodbye and the hang-up to this path, now that the reply is
+			// out and a close frame can no longer be mistaken for it.
+			b.sayGoodbye(s, goodbye)
+			conn.Close()
 			return
 		}
 		_ = conn.SetDeadline(time.Time{})
@@ -947,6 +963,12 @@ type subscriber struct {
 	// reference can slip into a queue nobody will ever drain.
 	qmu  sync.Mutex
 	dead bool
+	// attached is set once the handshake reply is on the wire. Until then
+	// the handshake path owns the connection, and teardown leaves the
+	// goodbye (the eviction reason in goodbye) and the hang-up to it: a
+	// close frame written ahead of the reply would be read as the reply.
+	attached bool
+	goodbye  string
 
 	// wmu serializes connection writes so the eviction path can interleave
 	// its close-reason frame on whole-frame boundaries. The write loop holds
@@ -978,6 +1000,21 @@ type subscriber struct {
 	depthHWM  *metrics.Gauge
 	ratio     *metrics.EWMA
 	queueWait *metrics.Histogram
+}
+
+// errEvictedInHandshake reports a subscriber torn down before its handshake
+// completed: deliveries start at the join, so a fast publisher can overflow
+// the queue before the reply is written.
+var errEvictedInHandshake = errors.New("broker: subscriber evicted during handshake")
+
+// attach marks the handshake reply as sent. When teardown already ran, it
+// reports the eviction reason teardown deferred ("" for a plain close) and
+// true: the caller must say goodbye and hang up.
+func (s *subscriber) attach() (goodbye string, dead bool) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	s.attached = true
+	return s.goodbye, s.dead
 }
 
 // addSubscriber builds a subscriber session with the resolved placement pl.
@@ -1086,7 +1123,7 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	if s.dead {
 		s.qmu.Unlock()
 		b.mu.Unlock()
-		return nil, 0, errors.New("broker: subscriber evicted during handshake")
+		return nil, 0, errEvictedInHandshake
 	}
 	s.sh.register(s)
 	b.met.Gauge("broker.subscribers").Add(1)
@@ -1536,6 +1573,20 @@ func (b *Broker) closeFrame(code codec.CloseReason, msg string) []byte {
 	return frame
 }
 
+// sayGoodbye sends an evicted subscriber its close-reason frame, so the
+// client surfaces "evicted: overload" (and backs off) instead of a generic
+// read error. An empty reason sends nothing.
+func (b *Broker) sayGoodbye(s *subscriber, reason string) {
+	if reason == "" {
+		return
+	}
+	code := codec.CloseReason(s.closeCode.Load())
+	if code == 0 {
+		code = codec.CloseOverload
+	}
+	b.sendCloseFrame(s, code, reason)
+}
+
 // sendCloseFrame best-effort-writes the eviction goodbye before the
 // connection is severed. TryLock keeps it safe against the write loop: if a
 // writer is mid-frame (or wedged on a dead peer), the frame is skipped
@@ -1595,18 +1646,18 @@ func (b *Broker) removeSub(s *subscriber, evicted bool, reason string) {
 		// drain below — the frame references would leak.
 		s.qmu.Lock()
 		s.dead = true
+		attached := s.attached
+		if !attached && evicted {
+			s.goodbye = reason
+		}
 		s.qmu.Unlock()
 		close(s.quit)
-		if evicted {
-			// Say why before hanging up, so the client surfaces "evicted:
-			// overload" (and backs off) instead of a generic read error.
-			code := codec.CloseReason(s.closeCode.Load())
-			if code == 0 {
-				code = codec.CloseOverload
+		if attached {
+			if evicted {
+				b.sayGoodbye(s, reason)
 			}
-			b.sendCloseFrame(s, code, reason)
+			s.conn.Close()
 		}
-		s.conn.Close()
 		for {
 			select {
 			case d := <-s.queue:

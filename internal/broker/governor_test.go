@@ -93,6 +93,35 @@ func TestEvictionReasonSurfacesToClient(t *testing.T) {
 	}
 }
 
+// TestEvictionBeforeHandshakeReply pins the handshake ordering: a
+// subscriber evicted after it joined the plane but before its handshake
+// reply went out gets neither a close frame (the client would read it as
+// the reply) nor a hang-up from teardown. Both are left to the handshake
+// path, which attach tells about the eviction.
+func TestEvictionBeforeHandshakeReply(t *testing.T) {
+	b := newTestBroker(t, nil)
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	s, _, err := b.addSubscriber(server, "md", b.cfg.Placement, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "overload shed: memory pressure critical"
+	b.evictSub(s, codec.CloseOverload, reason)
+
+	_ = client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	var one [1]byte
+	n, err := client.Read(one[:])
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("client read %d bytes (err %v) before any handshake reply; want a timeout", n, err)
+	}
+	if goodbye, dead := s.attach(); !dead || goodbye != reason {
+		t.Fatalf("attach = (%q, %v), want the deferred eviction (%q, true)", goodbye, dead, reason)
+	}
+}
+
 // TestBreakerEvictsSlowConsumer drives the circuit breaker organically: a
 // consumer that keeps reading, but so slowly that every delivery's queue
 // wait stays over BreakerWait for the whole window, is evicted with the

@@ -91,6 +91,15 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	testx.WaitUntil(t, "queued bytes past the critical fraction", func() bool {
 		return b.queuedBytes() >= budget*9/10
 	})
+	// The plane sequences these publishes asynchronously and feeds each
+	// block's real (small) pipeline wait into the governor's CPU EWMA, the
+	// signal phase 3 saturates with injected waits. Wait until every block
+	// has been fanned out to the whole swarm (nothing is shed before the
+	// first sample, and DropOldest accepts every delivery), so no late real
+	// wait can land among the injected ones and dilute them.
+	testx.WaitUntil(t, "every phase-2 publish fanned out", func() bool {
+		return met.Counter("encplane.deliveries").Value() >= int64(40*subs)
+	})
 
 	// Phase 3: overload. One sample flips the governor critical.
 	snap := gov.SampleNow()

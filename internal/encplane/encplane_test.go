@@ -159,6 +159,26 @@ func TestEncodeCachedIdentityAndDedup(t *testing.T) {
 	}
 }
 
+// TestEncodeCachedAfterCloseReleases covers a consumer still winding down
+// after the plane closed: its re-encode must not land in the purged cache,
+// where no one would ever release it, so once the caller releases its
+// reference no frame is left alive.
+func TestEncodeCachedAfterCloseReleases(t *testing.T) {
+	p, _ := newTestPlane(t, nil)
+	ch := p.Channel("md")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ch.EncodeCached(bytes.Repeat([]byte("late re-encode "), 100), 7, codec.Huffman, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if n := p.LiveFrames(); n != 0 {
+		t.Fatalf("LiveFrames = %d after a post-close re-encode was released, want 0", n)
+	}
+}
+
 // TestRawFastPathByteIdentity proves the receiver-raw bypass is
 // indistinguishable on the wire: when every member sits in the (None,
 // receiver) class, publishes skip the encode pipeline entirely

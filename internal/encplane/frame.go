@@ -138,6 +138,10 @@ type frameCache struct {
 	bytes    int64
 	entries  map[cacheKey]*Frame
 	fifo     []cacheKey
+	// purged is set by purge: a consumer still winding down may re-encode
+	// after the channel closed, and a frame cached then would never be
+	// released, so put refuses every frame from then on.
+	purged bool
 }
 
 func (fc *frameCache) get(seq uint64, m codec.Method) (*Frame, bool) {
@@ -147,11 +151,12 @@ func (fc *frameCache) get(seq uint64, m codec.Method) (*Frame, bool) {
 
 // put inserts f, transferring the caller's reference to the cache, and
 // returns the frames evicted to stay within budget. When f cannot be
-// retained (duplicate key, zero budget, or alone over budget) it is
-// returned among the evicted, i.e. the reference comes straight back.
+// retained (duplicate key, zero budget, alone over budget, or the cache
+// already purged) it is returned among the evicted, i.e. the reference
+// comes straight back.
 func (fc *frameCache) put(f *Frame) (evicted []*Frame) {
 	k := cacheKey{f.seq, f.method}
-	if _, dup := fc.entries[k]; dup || int64(f.Len()) > fc.maxBytes {
+	if _, dup := fc.entries[k]; dup || int64(f.Len()) > fc.maxBytes || fc.purged {
 		return []*Frame{f}
 	}
 	if fc.entries == nil {
@@ -192,7 +197,7 @@ func (fc *frameCache) purge() []*Frame {
 	for _, f := range fc.entries {
 		out = append(out, f)
 	}
-	fc.entries, fc.fifo, fc.bytes = nil, nil, 0
+	fc.entries, fc.fifo, fc.bytes, fc.purged = nil, nil, 0, true
 	return out
 }
 

@@ -15,8 +15,12 @@
 package lz
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"ccx/internal/bitio"
 	"ccx/internal/huffman"
@@ -65,86 +69,148 @@ var (
 	}
 )
 
-// lengthSym maps a match length (3..258) to its bucket symbol offset (0..28).
-func lengthSym(length int) int {
-	for i := len(lengthBase) - 1; i >= 0; i-- {
-		if length >= lengthBase[i] {
-			return i
+// Symbol lookup tables, built from the bucket tables above. Every match
+// token is mapped twice (once to count, once to emit), so the buckets are
+// resolved by index rather than by scanning.
+var (
+	lengthSymTab [maxMatch + 1]uint8 // match length -> length bucket
+	// distSymLo maps dist-1 for dist <= 256; distSymHi maps (dist-1)>>7 for
+	// larger distances, whose bucket bases are all 1 + a multiple of 128.
+	distSymLo [256]uint8
+	distSymHi [256]uint8
+	// emptyHead is the all -1 hash head that resets a pooled matcher with
+	// one copy.
+	emptyHead [hashSize]int32
+)
+
+func init() {
+	for l := minMatch; l <= maxMatch; l++ {
+		s := len(lengthBase) - 1
+		for l < lengthBase[s] {
+			s--
+		}
+		lengthSymTab[l] = uint8(s)
+	}
+	for d := 1; d <= windowSize; d++ {
+		s := len(distBase) - 1
+		for d < distBase[s] {
+			s--
+		}
+		if d <= 256 {
+			distSymLo[d-1] = uint8(s)
+		} else {
+			distSymHi[(d-1)>>7] = uint8(s)
 		}
 	}
-	return 0
+	for i := range emptyHead {
+		emptyHead[i] = -1
+	}
+}
+
+// lengthSym maps a match length (3..258) to its bucket symbol offset (0..28).
+func lengthSym(length int) int {
+	return int(lengthSymTab[length])
 }
 
 // distSym maps a distance (1..32768) to its bucket symbol (0..29).
 func distSym(dist int) int {
-	for i := len(distBase) - 1; i >= 0; i-- {
-		if dist >= distBase[i] {
-			return i
-		}
+	if dist <= 256 {
+		return int(distSymLo[dist-1])
 	}
-	return 0
+	return int(distSymHi[(dist-1)>>7])
 }
 
 // token is one literal or match emitted by the tokenizer.
 type token struct {
-	length int // 0 for literal
-	dist   int
+	length uint16 // 0 for literal
+	dist   uint16
 	lit    byte
 }
 
+// hash4 hashes the 3 bytes at src[i:i+3] (minMatch bytes, despite the name)
+// into a hashBits-bit bucket.
 func hash4(src []byte, i int) uint32 {
 	v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
 	return (v * 506832829) >> hashShift
 }
 
-// tokenize performs greedy LZ77 parsing with one-step lazy matching.
-func tokenize(src []byte) []token {
-	tokens := make([]token, 0, len(src)/3+16)
-	head := make([]int32, hashSize)
-	for i := range head {
-		head[i] = -1
-	}
-	prev := make([]int32, len(src))
+// matcher holds the per-call scratch of Compress. Matchers live only in
+// matcherPool, never on long-lived objects, so an idle process keeps none
+// of them across garbage collections, and nothing Compress returns points
+// into one.
+type matcher struct {
+	head        [hashSize]int32 // most recent position per hash bucket, -1 if none
+	prev        []int32         // prev[i] is the previous position in i's chain
+	tokens      []token
+	litLenFreq  [numLitLenSyms]int64
+	distFreq    [numDistSyms]int64
+	litLenCodes [numLitLenSyms]code
+	distCodes   [numDistSyms]code
+	w           bitio.Writer
+}
 
-	insert := func(i int) {
-		h := hash4(src, i)
-		prev[i] = head[h]
-		head[h] = int32(i)
-	}
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
-	findMatch := func(pos int) (length, dist int) {
-		if pos+minMatch > len(src) {
-			return 0, 0
-		}
-		limit := pos - windowSize
-		if limit < 0 {
-			limit = -1
-		}
-		maxLen := len(src) - pos
-		if maxLen > maxMatch {
-			maxLen = maxMatch
-		}
-		cand := head[hash4(src, pos)]
-		best, bestDist := 0, 0
-		for chain := 0; cand > int32(limit) && cand >= 0 && chain < maxChainLen; chain++ {
-			c := int(cand)
-			if c != pos && src[c+best/2] == src[pos+best/2] { // cheap prefilter
-				l := matchLen(src, c, pos, maxLen)
-				if l > best {
-					best, bestDist = l, pos-c
-					if l >= niceLen {
-						break
-					}
+// reset prepares m for an input of n bytes. prev needs no clearing: a chain
+// only ever reaches positions inserted during this call.
+func (m *matcher) reset(n int) {
+	m.head = emptyHead
+	if cap(m.prev) < n {
+		m.prev = make([]int32, n)
+	}
+	m.prev = m.prev[:n]
+	m.tokens = m.tokens[:0]
+	m.litLenFreq = [numLitLenSyms]int64{}
+	m.distFreq = [numDistSyms]int64{}
+	m.w.Reset()
+}
+
+func (m *matcher) insert(src []byte, i int) {
+	h := hash4(src, i)
+	m.prev[i] = m.head[h]
+	m.head[h] = int32(i)
+}
+
+// findMatch returns the longest match for src[pos:] among the first
+// maxChainLen candidates of pos's hash chain (earliest-found wins ties).
+func (m *matcher) findMatch(src []byte, pos int) (length, dist int) {
+	if pos+minMatch > len(src) {
+		return 0, 0
+	}
+	limit := pos - windowSize
+	if limit < 0 {
+		limit = -1
+	}
+	maxLen := len(src) - pos
+	if maxLen > maxMatch {
+		maxLen = maxMatch
+	}
+	cand := m.head[hash4(src, pos)]
+	best, bestDist := 0, 0
+	for chain := 0; cand > int32(limit) && chain < maxChainLen; chain++ {
+		c := int(cand)
+		// A candidate that differs at offset best cannot be longer than
+		// best, so this test skips only candidates that could not win.
+		if c != pos && src[c+best] == src[pos+best] {
+			l := matchLen(src, c, pos, maxLen)
+			if l > best {
+				best, bestDist = l, pos-c
+				if l >= niceLen || l == maxLen {
+					break
 				}
 			}
-			cand = prev[c]
 		}
-		if best < minMatch {
-			return 0, 0
-		}
-		return best, bestDist
+		cand = m.prev[c]
 	}
+	if best < minMatch {
+		return 0, 0
+	}
+	return best, bestDist
+}
 
+// tokenize performs greedy LZ77 parsing with one-step lazy matching.
+func (m *matcher) tokenize(src []byte) []token {
+	tokens := m.tokens
 	i := 0
 	for i < len(src) {
 		if i+minMatch > len(src) {
@@ -152,125 +218,169 @@ func tokenize(src []byte) []token {
 			i++
 			continue
 		}
-		length, dist := findMatch(i)
+		length, dist := m.findMatch(src, i)
 		if length >= minMatch && i+1+minMatch <= len(src) {
 			// Lazy matching: prefer a strictly longer match at i+1.
-			insert(i)
-			l2, d2 := findMatch(i + 1)
+			m.insert(src, i)
+			l2, d2 := m.findMatch(src, i+1)
 			if l2 > length {
 				tokens = append(tokens, token{lit: src[i]})
 				i++
 				length, dist = l2, d2
 			}
 		} else if length >= minMatch {
-			insert(i)
+			m.insert(src, i)
 		}
 		if length < minMatch {
 			tokens = append(tokens, token{lit: src[i]})
-			insert(i)
+			m.insert(src, i)
 			i++
 			continue
 		}
-		tokens = append(tokens, token{length: length, dist: dist})
+		tokens = append(tokens, token{length: uint16(length), dist: uint16(dist)})
 		// Insert hash entries across the match so later data can point here.
 		end := i + length
 		for j := i + 1; j < end && j+minMatch <= len(src); j++ {
-			insert(j)
+			m.insert(src, j)
 		}
 		i = end
 	}
+	m.tokens = tokens
 	return tokens
 }
 
+// matchLen returns how many bytes src[a:] and src[b:] share, up to max,
+// comparing eight bytes at a time. b+max must not exceed len(src), and a < b.
 func matchLen(src []byte, a, b, max int) int {
 	n := 0
+	for n+8 <= max {
+		if x := binary.LittleEndian.Uint64(src[a+n:]) ^ binary.LittleEndian.Uint64(src[b+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
 	for n < max && src[a+n] == src[b+n] {
 		n++
 	}
 	return n
 }
 
+// code is a bit string of n bits (n <= 32), most significant bit first.
+type code struct {
+	bits uint64
+	n    uint
+}
+
+// canonicalCodes assigns each symbol its canonical Huffman code from the
+// code lengths, the same assignment huffman.NewEncoder makes and
+// huffman.NewDecoder expects: codes of each length are consecutive, in
+// symbol order, and shorter codes come first.
+func canonicalCodes(lengths []uint8, codes []code) {
+	var count [huffman.MaxCodeLen + 1]int
+	for _, l := range lengths {
+		count[l]++
+	}
+	count[0] = 0
+	var next [huffman.MaxCodeLen + 1]uint64
+	c := uint64(0)
+	for l := 1; l <= huffman.MaxCodeLen; l++ {
+		c = (c + uint64(count[l-1])) << 1
+		next[l] = c
+	}
+	for sym, l := range lengths {
+		codes[sym] = code{next[l], uint(l)}
+		if l != 0 {
+			next[l]++
+		}
+	}
+}
+
+// bitAcc gathers codes into one 64-bit word so the writer is called once
+// per word rather than once per code and extra-bits field.
+type bitAcc struct {
+	word uint64
+	n    uint
+}
+
+func (a *bitAcc) put(w *bitio.Writer, c code) {
+	if a.n+c.n > 64 {
+		a.flush(w)
+	}
+	a.word = a.word<<c.n | c.bits
+	a.n += c.n
+}
+
+// flush writes the gathered bits. WriteBits fails only for more than 64
+// bits, which put never gathers.
+func (a *bitAcc) flush(w *bitio.Writer) {
+	_ = w.WriteBits(a.word, a.n)
+	a.word, a.n = 0, 0
+}
+
+// noDistLens is the distance table of a literal-only block.
+var noDistLens [numDistSyms]uint8
+
 // Compress encodes src. The caller must retain len(src) for Decompress.
 func Compress(src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, nil
 	}
-	tokens := tokenize(src)
+	m := matcherPool.Get().(*matcher)
+	defer matcherPool.Put(m)
+	m.reset(len(src))
+	tokens := m.tokenize(src)
 
-	litLenFreq := make([]int64, numLitLenSyms)
-	distFreq := make([]int64, numDistSyms)
+	litLenFreq, distFreq := m.litLenFreq[:], m.distFreq[:]
 	for _, t := range tokens {
 		if t.length == 0 {
 			litLenFreq[t.lit]++
 		} else {
-			litLenFreq[256+lengthSym(t.length)]++
-			distFreq[distSym(t.dist)]++
+			litLenFreq[256+lengthSym(int(t.length))]++
+			distFreq[distSym(int(t.dist))]++
 		}
 	}
 	litLenLens, err := huffman.BuildLengths(litLenFreq)
 	if err != nil {
 		return nil, fmt.Errorf("lz: litlen table: %w", err)
 	}
-	litLenEnc, err := huffman.NewEncoder(litLenLens)
-	if err != nil {
-		return nil, err
-	}
-	var distLens []uint8
-	var distEnc *huffman.Encoder
-	hasDist := false
+	distLens := noDistLens[:]
 	for _, f := range distFreq {
 		if f > 0 {
-			hasDist = true
+			if distLens, err = huffman.BuildLengths(distFreq); err != nil {
+				return nil, err
+			}
 			break
 		}
 	}
-	if hasDist {
-		distLens, err = huffman.BuildLengths(distFreq)
-		if err != nil {
-			return nil, err
-		}
-		distEnc, err = huffman.NewEncoder(distLens)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		distLens = make([]uint8, numDistSyms)
-	}
+	litLenCodes, distCodes := m.litLenCodes[:], m.distCodes[:]
+	canonicalCodes(litLenLens, litLenCodes)
+	canonicalCodes(distLens, distCodes)
 
-	w := bitio.NewWriter(len(src)/2 + 128)
+	w := &m.w
 	if err := huffman.WriteLengths(w, litLenLens); err != nil {
 		return nil, err
 	}
 	if err := huffman.WriteLengths(w, distLens); err != nil {
 		return nil, err
 	}
+	// Every symbol emitted below was counted above, so each has a code.
+	var acc bitAcc
 	for _, t := range tokens {
 		if t.length == 0 {
-			if err := litLenEnc.Encode(w, int(t.lit)); err != nil {
-				return nil, err
-			}
+			acc.put(w, litLenCodes[t.lit])
 			continue
 		}
-		ls := lengthSym(t.length)
-		if err := litLenEnc.Encode(w, 256+ls); err != nil {
-			return nil, err
-		}
-		if eb := lengthExtra[ls]; eb > 0 {
-			if err := w.WriteBits(uint64(t.length-lengthBase[ls]), eb); err != nil {
-				return nil, err
-			}
-		}
-		ds := distSym(t.dist)
-		if err := distEnc.Encode(w, ds); err != nil {
-			return nil, err
-		}
-		if eb := distExtra[ds]; eb > 0 {
-			if err := w.WriteBits(uint64(t.dist-distBase[ds]), eb); err != nil {
-				return nil, err
-			}
-		}
+		length, dist := int(t.length), int(t.dist)
+		ls := lengthSym(length)
+		acc.put(w, litLenCodes[256+ls])
+		acc.put(w, code{uint64(length - lengthBase[ls]), lengthExtra[ls]})
+		ds := distSym(dist)
+		acc.put(w, distCodes[ds])
+		acc.put(w, code{uint64(dist - distBase[ds]), distExtra[ds]})
 	}
-	return w.Bytes(), nil
+	acc.flush(w)
+	// The writer's buffer goes back to the pool; the caller gets a copy.
+	return bytes.Clone(w.Bytes()), nil
 }
 
 // Decompress reverses Compress, producing exactly origLen bytes.
@@ -301,14 +411,16 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 			break
 		}
 	}
-	dst := make([]byte, 0, origLen)
-	for len(dst) < origLen {
+	dst := make([]byte, origLen)
+	n := 0 // bytes decoded so far
+	for n < origLen {
 		sym, err := litLenDec.Decode(r)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		if sym < 256 {
-			dst = append(dst, byte(sym))
+			dst[n] = byte(sym)
+			n++
 			continue
 		}
 		ls := sym - 256
@@ -341,16 +453,18 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 			}
 			dist += int(extra)
 		}
-		if dist <= 0 || dist > len(dst) {
+		if dist <= 0 || dist > n {
 			return nil, ErrCorrupt
 		}
-		if len(dst)+length > origLen {
+		if n+length > origLen {
 			return nil, ErrCorrupt
 		}
-		// Overlapping copy, byte by byte (dist may be < length).
-		start := len(dst) - dist
-		for j := 0; j < length; j++ {
-			dst = append(dst, dst[start+j])
+		// One copy when the source ends before the destination starts
+		// (dist >= length); otherwise the match repeats a dist-byte period,
+		// and each copy doubles the run already written.
+		start, end := n-dist, n+length
+		for n < end {
+			n += copy(dst[n:end], dst[start:n])
 		}
 	}
 	return dst, nil

@@ -12,7 +12,10 @@
 package sampling
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	"ccx/internal/lz"
@@ -43,6 +46,18 @@ func Entropy(data []byte) float64 {
 	return h
 }
 
+// gramSet is an open-addressing hash set of 4-byte grams with linear
+// probing. A slot holds the gram in its low 32 bits and gramPresent above
+// them, so the zero slot means empty. Sets live only in gramSets, never on a
+// Sampler, so an idle process keeps none across garbage collections.
+type gramSet struct {
+	slots []uint64
+}
+
+const gramPresent = 1 << 32
+
+var gramSets = sync.Pool{New: func() any { return new(gramSet) }}
+
 // RepetitionScore estimates string repetitiveness as the fraction of
 // positions whose 4-byte gram already occurred earlier in data. Values near
 // 1 indicate LZ-friendly data; values near 0 indicate novel content.
@@ -50,15 +65,30 @@ func RepetitionScore(data []byte) float64 {
 	if len(data) < 8 {
 		return 0
 	}
-	seen := make(map[uint32]struct{}, len(data))
-	repeats := 0
 	total := len(data) - 3
+	// A power-of-two table at most half full keeps probe runs short.
+	order := bits.Len(uint(2*total - 1))
+	set := gramSets.Get().(*gramSet)
+	defer gramSets.Put(set)
+	if cap(set.slots) < 1<<order {
+		set.slots = make([]uint64, 1<<order)
+	}
+	slots := set.slots[:1<<order]
+	clear(slots)
+	mask := uint64(len(slots) - 1)
+	shift := 64 - order
+	repeats := 0
 	for i := 0; i < total; i++ {
-		g := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
-		if _, ok := seen[g]; ok {
-			repeats++
-		} else {
-			seen[g] = struct{}{}
+		key := uint64(binary.LittleEndian.Uint32(data[i:])) | gramPresent
+		for h := (key * 0x9E3779B97F4A7C15) >> shift; ; h = (h + 1) & mask {
+			if slots[h] == key {
+				repeats++
+				break
+			}
+			if slots[h] == 0 {
+				slots[h] = key
+				break
+			}
 		}
 	}
 	return float64(repeats) / float64(total)

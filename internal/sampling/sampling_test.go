@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+
+	"ccx/internal/datagen"
 )
 
 func TestEntropyBounds(t *testing.T) {
@@ -135,5 +138,61 @@ func TestProbeSpeedScale(t *testing.T) {
 	rSlow := slow.Probe(block)
 	if math.Abs(rSlow.ReducingSpeed*4-rBase.ReducingSpeed) > 1e-6 {
 		t.Fatalf("SpeedScale not applied: %v vs %v", rSlow.ReducingSpeed, rBase.ReducingSpeed)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestRepetitionScoreAllocs guards the pooled gram set: scoring a probe
+// sample allocates nothing once the pool is warm.
+func TestRepetitionScoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sample := datagen.OISTransactions(DefaultProbeSize, 0.7, 1)
+	if n := testing.AllocsPerRun(100, func() { RepetitionScore(sample) }); n != 0 {
+		t.Fatalf("RepetitionScore allocates %v times per call, want 0", n)
+	}
+}
+
+// TestProbeAllocBytes bounds what one 4 KB probe allocates: the pooled LZ
+// match finder and gram set leave only the Huffman tables and the
+// compressed output, well under the hash head alone of a per-call encoder.
+func TestProbeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const runs, limit = 100, 64 << 10
+	block := datagen.OISTransactions(2*DefaultProbeSize, 0.7, 1)
+	var s Sampler
+	s.Probe(block) // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.Probe(block)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= limit {
+		t.Fatalf("4 KB probe allocates %d B per call, want < %d", per, limit)
+	}
+}
+
+func BenchmarkProbe4K(b *testing.B) {
+	block := datagen.OISTransactions(128<<10, 0.7, 1)
+	var s Sampler
+	b.SetBytes(DefaultProbeSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Probe(block)
+	}
+}
+
+func BenchmarkRepetitionScore4K(b *testing.B) {
+	sample := datagen.OISTransactions(DefaultProbeSize, 0.7, 1)
+	b.SetBytes(DefaultProbeSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RepetitionScore(sample)
 	}
 }
